@@ -25,10 +25,26 @@ Schedule kinds (the schedule grammar):
 Feasibility is validity under :func:`~repro.runtime.dynamics.apply.revise`:
 removals and crashes are drawn only from edges/nodes whose removal keeps
 the network connected, joins only while ``n_bound`` leaves headroom.
+
+Edge and crash draws cost O(n + m).  One iterative Tarjan DFS
+(:func:`_cut_structure`) yields the bridges and cut vertices, so the
+removable edges are the non-bridges and the crashable nodes the non-cut
+vertices.  Edge additions draw from :class:`_NonEdges`, an indexed view
+of the non-edges that never builds the O(n²) pair list.
+
+The RNG contract: each candidate sequence has the length and order of
+the sorted list it stands for (``net.edges`` order, ``net.nodes``
+order, ``sorted(net.non_edges())``), and ``rng.choice`` over it is the
+only RNG consumption of an edge or crash draw.  ``choice`` spends
+exactly one ``_randbelow(len(seq))`` and then indexes, so the event
+depends on the sequence's length and order only, never on how it is
+stored.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import random
 
 from repro.graphs.network import Network
@@ -53,43 +69,92 @@ SCHEDULE_KINDS: tuple[str, ...] = (
 _MAX_ATTACH = 3
 
 
+def _cut_structure(net: Network) -> tuple[set[tuple[int, int]], set[int]]:
+    """``(bridges, cut_vertices)`` of the connected ``net`` from one
+    iterative Tarjan DFS in O(n + m) — no recursion, so path-like graphs
+    of any depth are fine.  Bridges are canonical ``(u, v)``, ``u < v``."""
+    adj = net.adjacency
+    root = net.nodes[0]
+    disc = {root: 0}
+    low = {root: 0}
+    bridges: set[tuple[int, int]] = set()
+    cut: set[int] = set()
+    root_children = 0
+    # frames: (node, DFS parent, iterator over the node's neighbors);
+    # ids are positive, so parent 0 marks the root
+    stack = [(root, 0, iter(adj[root]))]
+    while stack:
+        u, parent, it = stack[-1]
+        for w in it:
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                stack.append((w, u, iter(adj[w])))
+                break
+            if w != parent and disc[w] < low[u]:
+                low[u] = disc[w]
+        else:  # u finished: fold its low-link into the parent's
+            stack.pop()
+            if parent == 0:
+                continue
+            if low[u] < low[parent]:
+                low[parent] = low[u]
+            if low[u] > disc[parent]:
+                bridges.add((u, parent) if u < parent else (parent, u))
+            if parent == root:
+                root_children += 1
+            elif low[u] >= disc[parent]:
+                cut.add(parent)
+    if root_children >= 2:
+        cut.add(root)
+    return bridges, cut
+
+
 def _removable_edges(net: Network) -> list[tuple[int, int]]:
-    """Edges whose removal keeps the network connected (sorted)."""
-    out = []
-    for u, v in net.edges:
-        if net.degree(u) < 2 or net.degree(v) < 2:
-            continue
-        # BFS from u avoiding {u, v}: reconnection proves the edge sits
-        # on a cycle
-        seen = {u}
-        frontier = [u]
-        found = False
-        while frontier and not found:
-            nxt = []
-            for x in frontier:
-                for w in net.neighbors(x):
-                    if x == u and w == v:
-                        continue
-                    if w == v:
-                        found = True
-                        break
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-                if found:
-                    break
-            frontier = nxt
-        if found:
-            out.append((u, v))
-    return out
+    """Edges whose removal keeps the network connected: the non-bridges,
+    in ``net.edges`` (sorted) order."""
+    bridges, _ = _cut_structure(net)
+    return [e for e in net.edges if e not in bridges]
 
 
 def _crashable_nodes(net: Network) -> list[int]:
     """Non-cut vertices (sorted); their crash keeps the rest connected."""
     if net.n < 2:
         return []
-    return [v for v in net.nodes
-            if net.is_connected_subset(set(net.nodes) - {v})]
+    _, cut = _cut_structure(net)
+    return [v for v in net.nodes if v not in cut]
+
+
+class _NonEdges:
+    """The non-edges of ``net`` as an indexable sequence, in the order of
+    ``sorted(net.non_edges())`` — without materializing the O(n²) list.
+
+    Row ``i`` holds the pairs ``(nodes[i], w)`` with ``w > nodes[i]`` and
+    no edge between them; per-row prefix counts give ``len`` in O(1) and
+    ``seq[k]`` is a bisect over rows plus a walk along one row.
+    """
+
+    def __init__(self, net: Network) -> None:
+        nodes = net.nodes
+        n = len(nodes)
+        higher = dict.fromkeys(nodes, 0)  # neighbors above each node
+        for u, _ in net.edges:
+            higher[u] += 1
+        self._nodes = nodes
+        self._adj = net.adjacency_sets
+        #: _ends[i] = number of non-edges in rows 0..i
+        self._ends = list(itertools.accumulate(
+            n - 1 - i - higher[u] for i, u in enumerate(nodes)))
+
+    def __len__(self) -> int:
+        return self._ends[-1]
+
+    def __getitem__(self, k: int) -> tuple[int, int]:
+        i = bisect.bisect_right(self._ends, k)
+        k -= self._ends[i - 1] if i else 0
+        u = self._nodes[i]
+        nbrs = self._adj[u]
+        row = (w for w in self._nodes[i + 1:] if w not in nbrs)
+        return (u, next(itertools.islice(row, k, None)))
 
 
 class ChurnSchedule:
@@ -115,7 +180,7 @@ class ChurnSchedule:
     # -- single-kind draws ---------------------------------------------
 
     def _draw_edge_add(self, net: Network) -> EdgeAdd | None:
-        candidates = sorted(net.non_edges())
+        candidates = _NonEdges(net)
         if not candidates:
             return None
         u, v = self._rng.choice(candidates)
@@ -157,8 +222,9 @@ class ChurnSchedule:
         if net.n + 1 > net.n_bound:
             return None
         live = set(net.nodes)
+        # a drawn crash the caller declined leaves its node live: skip it
         ready = sorted(v for v, edges in self._crashed.items()
-                       if any(a in live for a in edges))
+                       if v not in live and any(a in live for a in edges))
         if not ready:
             return None
         v = ready[0]  # oldest-id-first: deterministic

@@ -1,12 +1,16 @@
 """The dynamic-network & churn scenario engine (ROADMAP item 3).
 
-Five pillars:
+Six pillars:
 
 * **Event model round-trip** — events serialize to canonical JSON,
   stream through JSONL files byte-identically, and reject malformed
   payloads loudly.
 * **Schedule determinism** — the same seed over the same starting
   network yields a byte-identical event stream, for every schedule kind.
+* **Linear candidate builders** — the O(n + m) bridge / cut-vertex /
+  indexed non-edge builders match brute-force referees on a grid of
+  small graphs, run without recursion on a 20 000-node path, and leave
+  pinned golden event-stream hashes unchanged.
 * **Revision validity** — :func:`revise` refuses every class of invalid
   event (unknown nodes, duplicate/missing edges, disconnecting removals,
   cut-vertex crashes, ``n_bound`` exhaustion) with a clear
@@ -23,6 +27,7 @@ Five pillars:
   validation (the satellite fix) raises ``KeyError`` on unknown names.
 """
 
+import hashlib
 import json
 import random
 
@@ -32,7 +37,14 @@ from repro.baselines.dim_bfs import AdHocBFSProtocol
 from repro.core.sst import SpanningTreeProtocol
 from repro.core.swap import MalleableTreeProtocol
 from repro.core.tasks import guided_bfs_protocol, guided_mst_protocol
-from repro.graphs import random_connected_graph
+from repro.graphs import (
+    complete_graph,
+    path_graph,
+    random_connected_graph,
+    random_tree_graph,
+    ring,
+    star_graph,
+)
 from repro.graphs.network import Network
 from repro.runtime import (
     ALL_SCHEDULER_FACTORIES,
@@ -57,7 +69,12 @@ from repro.runtime.dynamics import (
     revise,
     run_churn,
 )
-from repro.runtime.dynamics.schedules import SCHEDULE_KINDS
+from repro.runtime.dynamics.schedules import (
+    SCHEDULE_KINDS,
+    _crashable_nodes,
+    _NonEdges,
+    _removable_edges,
+)
 from repro.runtime.faults import corrupt_nodes, inject_faults
 
 # name -> (factory, weighted network needed)
@@ -186,6 +203,185 @@ class TestScheduleDeterminism:
         assert isinstance(recover, NodeRecover)
         assert recover.node == crash.node
         assert set(recover.edges) <= set(net.neighbors(crash.node))
+
+
+# ----------------------------------------------------------------------
+# O(n + m) candidate builders vs brute-force referees
+# ----------------------------------------------------------------------
+
+
+def _removable_edges_bruteforce(net):
+    """Referee: one BFS per edge, avoiding the edge itself."""
+    out = []
+    for u, v in net.edges:
+        if net.degree(u) < 2 or net.degree(v) < 2:
+            continue
+        seen = {u}
+        frontier = [u]
+        found = False
+        while frontier and not found:
+            nxt = []
+            for x in frontier:
+                for w in net.neighbors(x):
+                    if x == u and w == v:
+                        continue
+                    if w == v:
+                        found = True
+                        break
+                    if w not in seen:
+                        seen.add(w)
+                        nxt.append(w)
+                if found:
+                    break
+            frontier = nxt
+        if found:
+            out.append((u, v))
+    return out
+
+
+def _crashable_nodes_bruteforce(net):
+    """Referee: one connectivity test per node."""
+    if net.n < 2:
+        return []
+    return [v for v in net.nodes
+            if net.is_connected_subset(set(net.nodes) - {v})]
+
+
+def _barbell(k, path):
+    """Two K_k joined by a ``path``-edge chain, plus a pendant leaf."""
+    a = list(range(1, k + 1))
+    b = list(range(k + 1, 2 * k + 1))
+    mid = list(range(2 * k + 1, 2 * k + path))
+    edges = [(u, v) for c in (a, b) for i, u in enumerate(c)
+             for v in c[i + 1:]]
+    chain = [a[-1], *mid, b[0]]
+    edges += list(zip(chain, chain[1:]))
+    edges.append((a[0], 2 * k + path))
+    n = 2 * k + path
+    return Network(range(1, n + 1), edges, n_bound=n + 4)
+
+
+def _tree_plus_cycle(n, seed):
+    tree = random_tree_graph(n, seed=seed)
+    u, v = sorted(tree.non_edges())[seed % (n - 1)]
+    return Network(tree.nodes, (*tree.edges, (u, v)))
+
+
+REFEREE_GRID = {
+    "single": lambda: Network([7], []),
+    "pair": lambda: Network([3, 9], [(3, 9)]),
+    **{f"path-{n}": (lambda n=n: path_graph(n, seed=n)) for n in (3, 4, 7)},
+    **{f"star-{n}": (lambda n=n: star_graph(n, seed=n)) for n in (3, 6)},
+    **{f"cycle-{n}": (lambda n=n: ring(n, seed=n)) for n in (3, 5, 8)},
+    **{f"complete-{n}": (lambda n=n: complete_graph(n, seed=n))
+       for n in (3, 4, 6)},
+    "barbell-3-1": lambda: _barbell(3, 1),
+    "barbell-4-3": lambda: _barbell(4, 3),
+    "tree-plus-cycle": lambda: _tree_plus_cycle(12, seed=4),
+    **{f"random-{n}-{seed}": (lambda n=n, seed=seed:
+                              random_connected_graph(n, seed=seed))
+       for n in (5, 9, 16, 30) for seed in (1, 2, 3)},
+    **{f"sparse-{n}-{seed}": (lambda n=n, seed=seed: random_connected_graph(
+        n, extra_edges=n // 5, seed=seed)) for n in (10, 25) for seed in (1, 2)},
+}
+
+
+def _schedule_hashes(tmp_path, net):
+    out = {}
+    for kind in SCHEDULE_KINDS:
+        path = tmp_path / f"{kind}.jsonl"
+        dump_events(path, materialize_schedule(net, kind=kind, count=12,
+                                               seed=2015))
+        out[kind] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+# SHA-256 of the dumped 12-event streams (seed 2015), recorded with the
+# per-edge BFS / per-node connectivity / sorted non-edge list builders
+GOLDEN_NETS = {
+    "random-64": lambda: _headroom_net(n=64, seed=5, headroom=8),
+    "weighted-16": lambda: _headroom_net(n=16, seed=9, weighted=True,
+                                         headroom=4),
+    "barbell-5": lambda: _barbell(5, 3),
+}
+GOLDEN_STREAMS = {
+    "random-64": {
+        "edge-add": "852f940615cbcf6db7fc7e82b093cb933dcac3114243d817c4746ca917697865",
+        "edge-remove": "93715ca685531e35004cc6c330d2e60954a4b26f869e67504cc65085ef2f762d",
+        "crash": "47e6e1a7dc9c6e9f6a9c2a95269618a647e0fdede4121d91109d2e151a90318a",
+        "join": "6d199a95480250487e7823b221c921f05af103203fbf876a4095a3a5a193dabe",
+        "edge-flip": "7d770f2aa22c6faaefed58a92ac018f27043a2ff00dc1acbbdd0d66ea959cddd",
+        "crash-join": "e78fbd6dbdd97ff36c35c5ed866ed36cdf33b1ab635c48a6fc9509cf82710590",
+        "crash-recover": "a6404d474e9c85a894ab4507ce01811ee39f7b6c5e7b118cd28ae1ad1b92dafb",
+        "mixed": "18f24236f9295984fd0d2e84e137d28337da49fc668b20dd793df31fb6127ad5",
+    },
+    "weighted-16": {
+        "edge-add": "01d5de059f3111c7500dcc9e1ae359a71818bc281769c46d3396b859b19112c3",
+        "edge-remove": "3b99da729b5b35afe2f63ffad078ca1464b593aee4cc4b96cef2a8f56531a53f",
+        "crash": "a1b118b3115e580767140560108a1757b45b63abf2652db51f48eb28a7e095d3",
+        "join": "848fcbb25531373cf291d8dc7b6f729fef4ca1fcf76abf241d864158aefbf0b0",
+        "edge-flip": "80df5ce1dfbc5a8c5b7cad2ff2d6c9d5f32aaef979cb1373f83be67a1a3403e0",
+        "crash-join": "8b116480214db6438802647e0893527178438d85141a65bce5e242dd56fea5c2",
+        "crash-recover": "36aab850f765bd51002720b6a112611afc4c78ef03b23a6d688adea8ea1d12c5",
+        "mixed": "8286aeb92fefcca414a8e06927d2508303a9de7d02a7d1476b0b564e934a1158",
+    },
+    "barbell-5": {
+        "edge-add": "35e6897ebfbfffb01076485e8607d4eb6d01e559993472d4a7af0a29b3345166",
+        "edge-remove": "ce528024e11a5512d2297259f04489fea3617019e23841676ac2c47f0e1d5f1b",
+        "crash": "be45ef6066b5d6010a22360b46e5d5c53a86c9b449d74d33cae9afa5cbb79077",
+        "join": "b79586083218b84433899c0fe414231b551085fa09e76946aa4aced06e4e892f",
+        "edge-flip": "9ad8872b11f8ba902b5eb0d12e3e08f23d0b511200c8faf10f946122b79f9440",
+        "crash-join": "ecd19047bdaf0402aa4d1720bc1fb82a62ebf1fd82dd11d094faedbb9fbf1c6f",
+        "crash-recover": "aae403d407793f5bd2c342cd0ab202ab1a36d98e3cac9c6f27848f8cd8faec8d",
+        "mixed": "558f013b5adb4b265fb86a86cf6305040b972a5f9b5165397692b0e89056b8b7",
+    },
+}
+
+
+class TestCandidateBuilders:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_NETS))
+    def test_golden_event_streams(self, name, tmp_path):
+        assert _schedule_hashes(tmp_path, GOLDEN_NETS[name]()) \
+            == GOLDEN_STREAMS[name]
+
+    @pytest.mark.parametrize("name", sorted(REFEREE_GRID))
+    def test_builders_match_referees(self, name):
+        net = REFEREE_GRID[name]()
+        assert _removable_edges(net) == _removable_edges_bruteforce(net)
+        assert _crashable_nodes(net) == _crashable_nodes_bruteforce(net)
+        seq = _NonEdges(net)
+        # list() iterates by index until IndexError, pinning the end too
+        assert [seq[k] for k in range(len(seq))] == list(seq) \
+            == sorted(net.non_edges())
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_no_non_edges_draws_nothing(self, n):
+        net = Network([7], []) if n == 1 else complete_graph(n, seed=n)
+        sched = ChurnSchedule("edge-add", seed=3)
+        state = sched._rng.getstate()
+        assert sched.next_event(net) is None
+        assert sched._rng.getstate() == state
+
+    def test_deep_path_needs_no_recursion(self):
+        net = path_graph(20_000, seed=1)
+        ends = [v for v in net.nodes if net.degree(v) == 1]
+        assert len(ends) == 2
+        assert _crashable_nodes(net) == ends
+        assert _removable_edges(net) == []
+
+    def test_declined_crash_is_never_recovered(self):
+        # a caller may decline a drawn crash (perfbench skips crashes of
+        # the root); the recover phase must not resurrect a live node
+        net = _headroom_net(n=32, seed=21, headroom=4)
+        sched = ChurnSchedule("crash-recover", seed=5)
+        declined = sched.next_event(net)
+        assert isinstance(declined, NodeCrash)
+        current = net
+        for _ in range(6):
+            ev = sched.next_event(current)
+            assert not (isinstance(ev, NodeRecover)
+                        and ev.node in current.nodes)
+            current = revise(current, ev)
 
 
 # ----------------------------------------------------------------------
