@@ -81,7 +81,7 @@ class MalleableTreeProtocol(Protocol):
     """Tree maintenance + the Section IV switch, as one guarded-rule layer."""
 
     name = "malleable-tree"
-    #: fast_step filters every field against the current register before
+    #: step filters every field against the current register before
     #: returning, so the engine's per-proposal no-op scan is redundant
     exact_deltas = True
 
@@ -106,22 +106,17 @@ class MalleableTreeProtocol(Protocol):
     # the transition function
     # ------------------------------------------------------------------
 
-    def fast_step(self, net: Network, config, me: int,
-                  nbr_rows) -> dict | None:
-        """The transition rule on raw engine state (see Protocol.fast_step).
+    def step(self, view: NodeView) -> dict | None:
+        """The readable transition rule (the specification).
 
-        This is the single implementation of the rule; :meth:`step` is a
-        thin NodeView adapter over it, so the engine's fast path and the
-        from-scratch rescan cannot disagree.
+        :meth:`fast_step_slots` is its slot-indexed transliteration;
+        the engine runs that one, and the from-scratch rescan runs this.
         """
-        own = config[me]
-        intended = self._intended(net, config, me, nbr_rows)
+        own = view.state
+        intended = self._intended(view.net, view._config, view.node,
+                                  view.nbr_states())
         delta = {k: v for k, v in intended.items() if own[k] != v}
         return delta or None
-
-    def step(self, view: NodeView) -> dict | None:
-        return self.fast_step(view.net, view._config, view.node,
-                              view.nbr_states())
 
     def fast_step_slots(self, schema):
         """The same rule compiled to slot indices (Protocol.fast_step_slots).

@@ -117,13 +117,7 @@ class TraceRecorder:
         probes = sorted(self._extra_probes)
         if self._potential_on:
             probes.append("potential")
-        engine = {
-            "slot": sim._slot_rule is not None,
-            "vector": sim._vector_rule is not None,
-            "fused_capable": (sim._slot_rule is not None
-                              and not sim._global_reads
-                              and sim._notify is None),
-        }
+        engine = sim.engine_plan
         extra = dict(self._header_extra)
         extra["enabled_initial"] = len(sim.enabled_set())
         if self._potential_on:

@@ -12,11 +12,11 @@ Two layers:
   partition tolerance is future work), and ``n_bound`` exhaustion are
   refused with a clear :class:`EventError`.
 
-* :func:`apply_event` — the engine rebinding: mutates a live
-  :class:`~repro.runtime.simulator.Simulator` onto the revision.
-  Surviving nodes keep their register rows *by identity* (the engine's
-  rows-mutated-in-place contract), joiners get bottom or spec-sampled
-  states, the schema/column planes are recompiled, the protocol's
+* :func:`apply_event` — the event semantics on a live
+  :class:`~repro.runtime.simulator.Simulator`: joiners get bottom or
+  spec-sampled states, :meth:`Simulator.rebind` moves the engine onto
+  the revision (survivor rows kept *by identity*, every derived plane
+  recompiled through the constructor's own binding), the protocol's
   interrupt section runs at the touched nodes, and exactly the event's
   write-neighborhood is marked dirty — so the incremental
   :class:`~repro.runtime.scheduler.EnabledSet` stays coherent, provable
@@ -28,12 +28,10 @@ Two layers:
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any
 
 from repro.graphs.network import Network
-from repro.runtime.columns import ColumnStore
 from repro.runtime.dynamics.events import (
     EdgeAdd,
     EdgeRemove,
@@ -83,6 +81,7 @@ def revise(net: Network, event: TopologyEvent) -> Network:
     node_set = set(nodes)
     edges = list(net.edges)
     weights = net.weights if net.weighted else None
+    disconnected = None  # the refusal, should a removal disconnect
 
     if isinstance(event, EdgeAdd):
         for x in (event.u, event.v):
@@ -101,17 +100,16 @@ def revise(net: Network, event: TopologyEvent) -> Network:
                     f"pairwise distinct constants)")
             weights[e] = w
     elif isinstance(event, EdgeRemove):
-        e = (event.u, event.v)
-        if e not in set(edges):
+        if not net.has_edge(event.u, event.v):
             raise EventError(f"{event}: no such edge")
+        e = (event.u, event.v)
         edges.remove(e)
         if weights is not None:
             del weights[e]
-        if not _still_connected(nodes, edges):
-            raise EventError(
-                f"{event}: removal disconnects the network (the "
-                f"constructions assume a connected topology; partition "
-                f"tolerance is future work)")
+        disconnected = (
+            f"{event}: removal disconnects the network (the "
+            f"constructions assume a connected topology; partition "
+            f"tolerance is future work)")
     elif isinstance(event, NodeCrash):
         if event.node not in node_set:
             raise EventError(f"{event}: node {event.node} does not exist")
@@ -122,11 +120,10 @@ def revise(net: Network, event: TopologyEvent) -> Network:
         if weights is not None:
             weights = {d: w for d, w in weights.items()
                        if event.node not in d}
-        if not _still_connected(nodes, edges):
-            raise EventError(
-                f"{event}: crash disconnects the network (node "
-                f"{event.node} is a cut vertex; partition tolerance is "
-                f"future work)")
+        disconnected = (
+            f"{event}: crash disconnects the network (node "
+            f"{event.node} is a cut vertex; partition tolerance is "
+            f"future work)")
     elif isinstance(event, (NodeJoin, NodeRecover)):
         if event.node in node_set:
             raise EventError(f"{event}: id {event.node} already in use")
@@ -152,28 +149,16 @@ def revise(net: Network, event: TopologyEvent) -> Network:
     else:
         raise EventError(f"unknown topology event {event!r}")
 
-    return Network(nodes, edges, weights=weights,
-                   id_space=net.id_space, n_bound=net.n_bound)
-
-
-def _still_connected(nodes: list[int], edges: list[tuple[int, int]]) -> bool:
-    if not nodes:
-        return False
-    adj: dict[int, list[int]] = {v: [] for v in nodes}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {nodes[0]}
-    frontier = [nodes[0]]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return len(seen) == len(nodes)
+    try:
+        return Network(nodes, edges, weights=weights,
+                       id_space=net.id_space, n_bound=net.n_bound)
+    except ValueError:
+        # the revision's own connectivity check is the only one.  A
+        # removal or crash leaves a subgraph of a valid network, so
+        # disconnection is the one way its constructor can refuse it
+        if disconnected is None:
+            raise
+        raise EventError(disconnected) from None
 
 
 def _touched(event: TopologyEvent, old_net: Network) -> tuple[int, ...]:
@@ -216,121 +201,51 @@ def apply_event(sim: Simulator, event: TopologyEvent, *,
     """
     if not isinstance(sim, Simulator):
         _refuse_non_simulator(sim)
-    if sim._pending is not None:
-        raise RuntimeError(
-            "cannot apply a topology event mid-round: the active round's "
-            "pending set was computed against the old topology.  Apply "
-            "events between run_round() calls.")
 
     old_net = sim.net
     protocol = sim.protocol
     new_net = revise(old_net, event)
     touched = _touched(event, old_net)
 
-    rows = sim._state
-    config = sim.config
-    proposal = sim._proposal
-    enabled = sim._enabled
-
-    # ---- state carry-forward -----------------------------------------
-    if isinstance(event, NodeCrash):
-        v = event.node
-        del rows[v]
-        del config[v]
-        proposal.pop(v, None)
-        sim._dirty.discard(v)
-        if v in enabled._set:
-            enabled._set.remove(v)
-            del enabled._list[bisect_left(enabled._list, v)]
-
-    # ---- schema / plane rebinding ------------------------------------
-    new_spec = protocol.register_spec(new_net)
-    new_schema = new_spec.schema()
-    if tuple(new_schema.names) != tuple(sim.schema.names):
-        raise EventError(
-            f"{event}: register layout changed across the revision "
-            f"({list(sim.schema.names)} -> {list(new_schema.names)}); "
-            f"the dynamics engine carries rows forward positionally")
-    sim.net = new_net
-    sim.spec = new_spec
-    sim.schema = new_schema
-    sim._index = new_schema.index
-
+    joiners = {}
     if isinstance(event, (NodeJoin, NodeRecover)):
-        v = event.node
+        spec = protocol.register_spec(new_net)
         if event.init == "sampled":
             sampler = rng if rng is not None else sim.rng
-            state = new_spec.corrupt_state(new_net, v, sampler)
+            state = spec.corrupt_state(new_net, event.node, sampler)
         else:
-            state = new_spec.default_state(new_net, v)
-        rows[v] = [state[name] for name in new_schema.names]
-        config[v] = new_schema.view(rows[v])
-
-    sim._all_nodes = sorted(new_net.nodes)
-    sim._bulk_dirty = max(4, new_net.n // 4)
-
-    # recompile the engine path for the new binding.  Survivor rows are
-    # the same list objects, so rebuilt neighbor tables alias live state
-    # exactly as construction did.
-    if sim._slot_rule is not None:
-        sim._slot_rule = protocol.fast_step_slots(new_schema)
-        sim._nbr_rows = {
-            v: tuple((u, rows[u]) for u in new_net.neighbors(v))
-            for v in new_net.nodes}
-        sim._view_rows = None
-    else:
-        sim._nbr_rows = None
-        sim._view_rows = {
-            v: tuple((u, config[u]) for u in new_net.neighbors(v))
-            for v in new_net.nodes}
-    if not sim._global_reads:
-        sim._write_impact = protocol.fast_write_impact(new_schema)
-    if sim._vector_rule is not None:
-        store = ColumnStore(new_schema, new_net, rows,
-                            backend=sim._columns.backend)
-        vrule = protocol.vector_step(new_schema, store)
-        sim._columns = store if vrule is not None else None
-        sim._vector_rule = vrule
+            state = spec.default_state(new_net, event.node)
+        joiners[event.node] = state
+    # survivors keep their rows by identity; the rebind dirties exactly
+    # the nodes whose neighborhood changed (the event's touched set)
+    sim.rebind(new_net, joiners)
 
     # ---- protocol lifecycle hook -------------------------------------
-    invalidate_all = bool(protocol.on_topology_event(old_net, new_net,
-                                                     event))
+    if protocol.on_topology_event(old_net, new_net, event):
+        sim.invalidate()
 
     # ---- interrupt section (super-stabilization) ---------------------
     interrupt_writes = 0
-    dirty = set(touched)
-    irule = protocol.interrupt_step(new_schema)
+    irule = protocol.interrupt_step(sim.schema)
     if irule is not None:
+        config = sim.config
+        names = sim.schema.names
         for v in touched:
-            delta = irule(new_net, config, v, rows[v], event)
+            own = config[v].row
+            delta = irule(new_net, config, v, own, event)
             if not delta:
                 continue
-            row = rows[v]
-            wrote = False
-            for s, val in delta.items():
-                if row[s] != val:
-                    row[s] = val
-                    wrote = True
-            if wrote:
+            writes = {names[s]: val for s, val in delta.items()
+                      if own[s] != val}
+            if writes:
+                # dirties v's write-neighborhood like any fault
+                sim.overwrite(v, writes)
                 interrupt_writes += 1
-                dirty.update(new_net.neighbors(v))
 
-    # ---- dirty-set accounting + proof obligation ---------------------
-    # (the rebuilt ColumnStore starts fresh=False; the next vector
-    # refresh re-encodes from the post-interrupt rows on demand)
-    if sim._global_reads or invalidate_all:
-        sim._dirty_all = True
-        sim._dirty.clear()
-    else:
-        sim._dirty.update(dirty)
-    # stale cached proposals of vanished nodes can never be selected
-    # (the enabled set no longer contains them); drop crashed entries
-    # above, keep survivors — refresh re-proposes exactly the dirty ones.
-    sim._sched_synced = False  # the daemon re-reads the enabled set
-
-    enabled_after = len(sim.enabled_set())  # settles via _refresh
+    # ---- proof obligation --------------------------------------------
+    enabled_after = len(sim.enabled_set())  # settles via the refresh
     if check:
-        incremental = list(sim._enabled)
+        incremental = sim.enabled_nodes()
         rescan = sim.rescan_enabled()
         if incremental != rescan:
             raise RuntimeError(
@@ -338,7 +253,7 @@ def apply_event(sim: Simulator, event: TopologyEvent, *,
                 f"{event}: {incremental} != {rescan}")
 
     if sim.record_trace:
-        sim._snapshot()
+        sim.snapshot()
 
     return EventReport(event=event, touched=touched,
                        interrupt_writes=interrupt_writes,

@@ -166,7 +166,6 @@ class ShardContext:
     #: for per-node deterministic initialization from ``init_seed``
     config: Mapping[int, Mapping[str, object]] | None
     init_seed: int
-    use_vector_rules: bool
 
 
 class ShardWorker:
@@ -192,8 +191,7 @@ class ShardWorker:
                 # overwrites all of these before the first refresh
                 config[v] = spec.default_state(net, v)
         self.sim = Simulator(net, protocol, SynchronousScheduler(),
-                             config=config,
-                             use_vector_rules=ctx.use_vector_rules)
+                             config=config)
         if protocol.shard_step(self.sim.schema) is None:
             raise ValueError(
                 f"protocol {protocol.name!r} declines sharded execution "
@@ -326,8 +324,7 @@ class ShardedSimulator:
                  plan: ShardPlan | int, *,
                  config: Mapping[int, Mapping[str, object]] | None = None,
                  init_seed: int = 0,
-                 processes: bool = False,
-                 use_vector_rules: bool = True) -> None:
+                 processes: bool = False) -> None:
         if isinstance(plan, int):
             plan = plan_partition(topo, plan)
         if plan.n != topo.n:
@@ -367,8 +364,7 @@ class ShardedSimulator:
             contexts.append(ShardContext(
                 shard_id=i, owned=owned, topo=topo,
                 protocol_factory=protocol_factory, routes=routes,
-                config=config, init_seed=init_seed,
-                use_vector_rules=use_vector_rules))
+                config=config, init_seed=init_seed))
 
         if processes:
             mp = multiprocessing.get_context("fork")
@@ -586,8 +582,7 @@ class ShardedSimulator:
 def single_process_reference(topo, protocol_factory, *,
                              config=None, init_seed: int = 0,
                              max_rounds: int = 10_000,
-                             require_silence: bool = True,
-                             use_vector_rules: bool = True):
+                             require_silence: bool = True):
     """Run the same workload on one ordinary Simulator.
 
     Returns ``(rounds, moves, silent, fingerprint_hex)`` — the exact
@@ -600,8 +595,7 @@ def single_process_reference(topo, protocol_factory, *,
     if config is None:
         spec = protocol.register_spec(net)
         config = per_node_configuration(net, spec, init_seed)
-    sim = Simulator(net, protocol, SynchronousScheduler(), config=config,
-                    use_vector_rules=use_vector_rules)
+    sim = Simulator(net, protocol, SynchronousScheduler(), config=config)
     rounds = 0
     while rounds < max_rounds:
         if not sim.run_round():

@@ -45,11 +45,21 @@ Node registers are stored as **slot rows** — plain lists indexed by the
 exposes the same storage as zero-copy
 :class:`~repro.runtime.schema.SlotState` Mapping views, so name-keyed
 callers (legality predicates, verifiers, metrics, tests) are unaffected.
-Protocols with a compiled :meth:`Protocol.fast_step_slots` rule run
-index-first on the raw rows; everything else falls back to the
-name-keyed ``fast_step``/``step`` contracts over the views.
-Configurations cross the boundary as plain dicts in both directions
-(``config=`` input, traces, :func:`random_configuration`).
+The engine calls exactly one rule plane: the slot-indexed rule
+:meth:`Protocol.fast_step_slots` compiles, or — for protocols that only
+implement the readable :meth:`Protocol.step` — that ``step`` wrapped by
+:func:`~repro.runtime.protocol.adapt_step_to_slots`.  ``step`` itself
+stays the specification :meth:`Simulator.rescan_enabled` re-derives
+enabledness from.  Configurations cross the boundary as plain dicts in
+both directions (``config=`` input, traces, :func:`random_configuration`).
+
+Binding
+-------
+
+Everything derived from ``(protocol, network, rows)`` — spec, schema,
+neighbor-row table, compiled rules, column store — is computed in one
+place, :meth:`Simulator._bind`, which both the constructor and
+:meth:`Simulator.rebind` (a topology revision between rounds) call.
 """
 
 from __future__ import annotations
@@ -61,7 +71,12 @@ from dataclasses import dataclass, field
 
 from repro.graphs.network import Network
 from repro.runtime.columns import ColumnStore
-from repro.runtime.protocol import NodeView, Protocol, effective_delta
+from repro.runtime.protocol import (
+    NodeView,
+    Protocol,
+    adapt_step_to_slots,
+    effective_delta,
+)
 from repro.runtime.scheduler import EnabledSet, Scheduler, SynchronousScheduler
 
 __all__ = ["Simulator", "RunResult", "random_configuration"]
@@ -135,11 +150,8 @@ class Simulator:
         invariant: Callable[[Network, Config], bool] | None = None,
         record_trace: bool = False,
         rng: random.Random | None = None,
-        use_slot_rules: bool = True,
-        use_vector_rules: bool = True,
         recorder: object | None = None,
     ) -> None:
-        self.net = net
         self.protocol = protocol
         self.scheduler = scheduler or SynchronousScheduler()
         #: the simulator's own entropy source, injectable so campaign
@@ -148,30 +160,8 @@ class Simulator:
         #: for adversarial helpers acting on this simulator (e.g.
         #: :func:`repro.runtime.faults.inject_random_faults`).
         self.rng = rng if rng is not None else random.Random(0)
-        self.spec = protocol.register_spec(net)
-        #: the compiled slot layout of this (protocol, network) binding
-        self.schema = self.spec.schema()
         if config is None:
             config = protocol.initial_configuration(net)
-        # encode the boundary configuration into slot rows (this also
-        # validates its shape); ``self.config`` shares the storage as
-        # zero-copy Mapping views, so name-keyed reads stay supported
-        names = self.schema.names
-        rows: dict[int, list] = {}
-        for v in net.nodes:
-            if v not in config:
-                raise ValueError(f"configuration missing node {v}")
-            state = config[v]
-            try:
-                rows[v] = [state[name] for name in names]
-            except KeyError:
-                missing = [n for n in names if n not in state]
-                raise ValueError(
-                    f"node {v} register missing fields {sorted(missing)}"
-                ) from None
-        self._state = rows
-        view = self.schema.view
-        self.config: dict[int, object] = {v: view(rows[v]) for v in net.nodes}
         self.invariant = invariant
         self.record_trace = record_trace
         self.moves = 0
@@ -191,81 +181,33 @@ class Simulator:
         self._enabled = EnabledSet()
         self._dirty: set[int] = set()
         self._dirty_all = True
-        self._all_nodes: list[int] = sorted(net.nodes)
-        # batch-aware bookkeeping: a write batch at least this large
-        # (a synchronous round, a mass fault) raises the all-dirty flag
-        # instead of performing per-write neighborhood set inserts — one
-        # refresh pass per round replaces the per-batch bookkeeping.
-        # Purely an accounting choice: refresh re-proposes a superset,
-        # and re-proposing a clean node reproduces its cached proposal.
-        self._bulk_dirty = max(4, net.n // 4)
         self._pending: set[int] | None = None  # the active round's pending set
         self._sched_synced = False
-        # resolve the engine path once: a compiled slot rule when the
-        # protocol provides one (``use_slot_rules=False`` is the testing
-        # escape that forces the name-keyed path, so the dual-view suite
-        # can prove both planes bit-identical), else the name-keyed
-        # fast_step, else step over NodeView.
-        self._slot_rule = (protocol.fast_step_slots(self.schema)
-                           if use_slot_rules else None)
-        # prebuilt per-node neighbor row table for the resolved path.  Slot
-        # rows are mutated in place (never replaced) by _apply_batch and
-        # overwrite, so these references stay valid for the simulator's
-        # lifetime: raw (neighbor, row) pairs for a compiled slot rule,
-        # (neighbor, SlotState) pairs for the name-keyed fallback — only
-        # the table the path actually reads is built.
-        self._nbr_rows: dict[int, tuple[tuple[int, list], ...]] | None = None
-        self._view_rows: dict[int, tuple] | None = None
-        if self._slot_rule is not None:
-            self._nbr_rows = {
-                v: tuple((u, rows[u]) for u in net.neighbors(v))
-                for v in net.nodes}
-        else:
-            config_views = self.config
-            self._view_rows = {
-                v: tuple((u, config_views[u]) for u in net.neighbors(v))
-                for v in net.nodes}
-        self._fast_step = protocol.fast_step if callable(
-            getattr(protocol, "fast_step", None)) else None
-        # protocols declaring exact deltas skip the engine's no-op filter
+        # protocol-level contracts (independent of the network):
+        # exact deltas skip the engine's no-op filter; oracle-consulting
+        # protocols read the whole configuration, so any write
+        # invalidates every cached proposal (see Protocol.read_locality)
         self._exact_deltas = bool(getattr(protocol, "exact_deltas", False))
-        self._index = self.schema.index
+        self._global_reads = protocol.read_locality == "global"
+        # movers that provably land disabled retire from the enabled set
+        # at apply time (Protocol.settles_after_move); global readers go
+        # through the all-dirty flag instead
+        self._settles = (not self._global_reads
+                         and bool(getattr(protocol,
+                                          "settles_after_move", False)))
         # the base-class Scheduler.notify is a no-op; skip the call frame
         # entirely unless the daemon actually overrides it
         self._notify = (self.scheduler.notify
                         if type(self.scheduler).notify is not Scheduler.notify
                         else None)
-        # oracle-consulting protocols read the whole configuration, so any
-        # write invalidates every cached proposal (see Protocol.read_locality)
-        self._global_reads = protocol.read_locality == "global"
-        # write-path contracts (Protocol.settles_after_move /
-        # fast_write_impact): movers that provably land disabled retire
-        # from the enabled set at apply time, and a compiled impact filter
-        # narrows which neighbors a write re-dirties.  Both are soundness
-        # claims about the rule itself, so they hold on every engine path;
-        # global readers go through the all-dirty flag instead.
-        self._settles = (not self._global_reads
-                         and bool(getattr(protocol,
-                                          "settles_after_move", False)))
-        self._write_impact = (None if self._global_reads
-                              else protocol.fast_write_impact(self.schema))
-        # columnar bulk-evaluation plane: built only when the protocol
-        # compiles a vector rule for this binding (Protocol.vector_step)
-        # and the slot plane is active; _refresh engages it on all-dirty
-        # passes, everything else stays on the scalar paths.
-        # ``use_vector_rules=False`` is the testing escape hatch that
-        # forces those scalar paths, mirroring ``use_slot_rules``.
-        self._columns: ColumnStore | None = None
-        self._vector_rule = None
-        if (use_vector_rules and self._slot_rule is not None
-                and type(protocol).vector_step is not Protocol.vector_step):
-            store = ColumnStore(self.schema, net, rows)
-            vrule = protocol.vector_step(self.schema, store)
-            if vrule is not None:
-                self._columns = store
-                self._vector_rule = vrule
+        # node registers: slot rows, encoded from the boundary
+        # configuration by _bind; ``self.config`` shares the storage as
+        # zero-copy Mapping views, so name-keyed reads stay supported
+        self._state: dict[int, list] = {}
+        self.config: dict[int, object] = {}
+        self._bind(net, config)
         if record_trace:
-            self._snapshot()
+            self.snapshot()
         # telemetry seam: hook selection happens HERE, once, at setup.
         # With no recorder the engine runs the exact pre-telemetry byte
         # path — no per-move branch anywhere below; with one, the
@@ -275,6 +217,162 @@ class Simulator:
         if recorder is not None:
             self.run_round = self._run_round_observed  # type: ignore[method-assign]
             recorder.attach(self)
+
+    # ------------------------------------------------------------------
+    # binding a protocol to a network
+    # ------------------------------------------------------------------
+
+    def _bind(self, net: Network, states: Mapping[int, Mapping[str, object]],
+              backend: str | None = None) -> None:
+        """Bind the protocol to ``net``: every derived engine structure.
+
+        The single place the ``(protocol, network, rows)`` binding is
+        computed, for the constructor and :meth:`rebind` alike.  Nodes
+        of ``net`` that have no slot row yet are encoded from ``states``
+        (the whole configuration at construction, the joiners at a
+        rebind); existing rows are kept *by identity* and must match the
+        new register layout positionally.  Rows of nodes absent from
+        ``net`` are left for the caller to drop.  ``backend`` pins the
+        column store's backend (``None``: numpy when available).
+        """
+        protocol = self.protocol
+        spec = protocol.register_spec(net)
+        schema = spec.schema()
+        names = schema.names
+        rows = self._state
+        if rows and tuple(names) != tuple(self.schema.names):
+            raise ValueError(
+                f"register layout changed across the rebind "
+                f"({list(self.schema.names)} -> {list(names)}); surviving "
+                f"rows are carried forward positionally")
+        # encode the boundary states of row-less nodes into slot rows
+        # (this also validates their shape) before anything is assigned
+        fresh: dict[int, list] = {}
+        for v in net.nodes:
+            if v in rows:
+                continue
+            if v not in states:
+                raise ValueError(f"configuration missing node {v}")
+            state = states[v]
+            try:
+                fresh[v] = [state[name] for name in names]
+            except KeyError:
+                missing = [n for n in names if n not in state]
+                raise ValueError(
+                    f"node {v} register missing fields {sorted(missing)}"
+                ) from None
+        rows.update(fresh)
+        view = schema.view
+        config = self.config
+        for v, row in fresh.items():
+            config[v] = view(row)
+        self.net = net
+        self.spec = spec
+        #: the compiled slot layout of this (protocol, network) binding
+        self.schema = schema
+        self._index = schema.index
+        self._all_nodes: list[int] = sorted(net.nodes)
+        # batch-aware bookkeeping: a write batch at least this large
+        # (a synchronous round, a mass fault) raises the all-dirty flag
+        # instead of performing per-write neighborhood set inserts — one
+        # refresh pass per round replaces the per-batch bookkeeping.
+        # Purely an accounting choice: refresh re-proposes a superset,
+        # and re-proposing a clean node reproduces its cached proposal.
+        self._bulk_dirty = max(4, net.n // 4)
+        # the one rule plane: the protocol's compiled slot rule, or its
+        # readable step bridged onto slot rows.  Called through the
+        # instance, so a per-instance override (a timing wrapper, a test
+        # forcing the adapter) reaches every binding.
+        self._slot_rule = (protocol.fast_step_slots(schema)
+                           or adapt_step_to_slots(protocol, schema))
+        # prebuilt per-node (neighbor, row) table.  Slot rows are mutated
+        # in place (never replaced) by _apply_batch and overwrite, so
+        # these references stay valid for the binding's lifetime.
+        self._nbr_rows: dict[int, tuple[tuple[int, list], ...]] = {
+            v: tuple((u, rows[u]) for u in net.neighbors(v))
+            for v in net.nodes}
+        # the compiled write-impact filter (Protocol.fast_write_impact)
+        # narrows which neighbors a write re-dirties; a soundness claim
+        # about the rule itself, so it holds on every plane.  Global
+        # readers go through the all-dirty flag instead.
+        self._write_impact = (None if self._global_reads
+                              else protocol.fast_write_impact(schema))
+        # columnar bulk-evaluation plane: built only when the protocol
+        # compiles a vector rule for this binding (Protocol.vector_step);
+        # _refresh engages it on all-dirty passes, everything else stays
+        # on the scalar slot rule.
+        self._columns: ColumnStore | None = None
+        self._vector_rule = None
+        if type(protocol).vector_step is not Protocol.vector_step:
+            store = ColumnStore(schema, net, rows, backend=backend)
+            vrule = protocol.vector_step(schema, store)
+            if vrule is not None:
+                self._columns = store
+                self._vector_rule = vrule
+
+    def rebind(self, net: Network,
+               joiners: Mapping[int, Mapping[str, object]] | None = None,
+               ) -> None:
+        """Move this simulator onto a revised network, between rounds.
+
+        Surviving nodes keep their register rows by identity; nodes of
+        ``net`` without a row are encoded from ``joiners`` (name-keyed
+        boundary states); rows, proposals and enabled-set entries of
+        nodes absent from ``net`` are dropped.  The column store keeps
+        the backend the constructor chose.  Every node whose closed
+        neighborhood changed is marked dirty, so the incremental enabled
+        set stays coherent with no further help; further invalidation
+        (register writes, oracle flushes) goes through :meth:`overwrite`
+        and :meth:`invalidate`.
+
+        Raises RuntimeError mid-round: the active round's pending set
+        was computed against the old topology.
+        """
+        if self._pending is not None:
+            raise RuntimeError(
+                "cannot apply a topology event mid-round: the active "
+                "round's pending set was computed against the old "
+                "topology.  Apply events between run_round() calls.")
+        old = self.net
+        backend = self._columns.backend if self._columns is not None else None
+        self._bind(net, joiners or {}, backend)
+        rows, dirty = self._state, self._dirty
+        adjacency = net.adjacency
+        for v in [v for v in rows if v not in adjacency]:
+            del rows[v]
+            del self.config[v]
+            self._proposal.pop(v, None)
+            dirty.discard(v)
+            self._enabled.discard(v)
+        if self._global_reads:
+            self._dirty_all = True
+        else:
+            old_adjacency = old.adjacency
+            dirty.update(v for v, nbrs in adjacency.items()
+                         if old_adjacency.get(v) != nbrs)
+        self._sched_synced = False  # the daemon re-reads the enabled set
+
+    def invalidate(self) -> None:
+        """Drop every cached proposal: the next settle re-proposes all
+        nodes.  For callers that changed what the rule reads outside the
+        registers (a protocol flushing an oracle cache)."""
+        self._dirty_all = True
+        self._dirty.clear()
+
+    @property
+    def engine_plan(self) -> dict[str, bool]:
+        """Which engine paths this binding engages (read-only summary).
+
+        ``slot``: the slot rule plane (always, since every protocol is
+        bound to one); ``vector``: the columnar plane compiled for this
+        binding; ``fused_capable``: ``run_round`` may take the fused
+        single-mover loop (local readers under a daemon without
+        incremental hooks).
+        """
+        return {"slot": True,
+                "vector": self._vector_rule is not None,
+                "fused_capable": (not self._global_reads
+                                  and self._notify is None)}
 
     # ------------------------------------------------------------------
     # proposals and enabledness
@@ -314,64 +412,36 @@ class Simulator:
             net, config = self.net, self.config
             rows = self._state
             slot_rule = self._slot_rule
-            step = self.protocol.step
-            fast_step = self._fast_step
             exact = self._exact_deltas
-            index = self._index
             nbr_rows = self._nbr_rows
-            view_rows = self._view_rows
             proposal = self._proposal
             # engine-owned EnabledSet internals, updated in place (the
             # method-call indirection is measurable at this call rate)
             eset = self._enabled._set
             elist = self._enabled._list
-            # one view object reused across the fallback loop: step() must
-            # not retain it (it is only valid for the duration of the
-            # atomic step); the slot path never needs it
-            view = (NodeView(net, 0, config, view_rows)
-                    if slot_rule is None else None)
             i = 0
             try:
                 for i, v in enumerate(items):
                     # inlined effective_delta (this loop dominates stepping
-                    # cost).  Deltas are canonicalized to slot keys here, so
-                    # everything downstream (_apply_batch) is index-only.
+                    # cost); deltas are slot-keyed, so everything
+                    # downstream (_apply_batch) is index-only
                     own = rows[v]
-                    if slot_rule is not None:
-                        delta = slot_rule(net, config, v, own, nbr_rows[v])
-                        if not delta:
+                    delta = slot_rule(net, config, v, own, nbr_rows[v])
+                    if not delta:
+                        delta = None
+                    elif not exact:
+                        # count effective writes; allocate a filtered
+                        # dict only when the proposal mixes no-op and
+                        # effective slots
+                        eff = 0
+                        for k, val in delta.items():
+                            if own[k] != val:
+                                eff += 1
+                        if eff == 0:
                             delta = None
-                        elif not exact:
-                            # count effective writes; allocate a filtered
-                            # dict only when the proposal mixes no-op and
-                            # effective slots
-                            eff = 0
-                            for k, val in delta.items():
-                                if own[k] != val:
-                                    eff += 1
-                            if eff == 0:
-                                delta = None
-                            elif eff != len(delta):
-                                delta = {k: val for k, val in delta.items()
-                                         if own[k] != val}
-                    else:
-                        if fast_step is not None:
-                            delta = fast_step(net, config, v, view_rows[v])
-                        else:
-                            view.node = v
-                            delta = step(view)
-                        if not delta:
-                            delta = None
-                        elif exact:
-                            delta = {index[k]: val
-                                     for k, val in delta.items()}
-                        else:
-                            eff = {}
-                            for k, val in delta.items():
-                                s = index[k]
-                                if own[s] != val:
-                                    eff[s] = val
-                            delta = eff or None
+                        elif eff != len(delta):
+                            delta = {k: val for k, val in delta.items()
+                                     if own[k] != val}
                     proposal[v] = delta
                     if delta is not None:
                         if v not in eset:
@@ -473,10 +543,10 @@ class Simulator:
     def rescan_enabled(self) -> list[int]:
         """Enabled nodes recomputed from scratch, bypassing every cache.
 
-        O(n) transition evaluations through the name-keyed ``step``
-        contract over the Mapping views; exists so tests can cross-check
-        the incrementally maintained enabled set — and the compiled slot
-        rules feeding it — against first principles.
+        O(n) transition evaluations through the readable ``step``
+        specification over the Mapping views; exists so tests can
+        cross-check the incrementally maintained enabled set — and the
+        compiled slot rule feeding it — against first principles.
         """
         net, config, proto = self.net, self.config, self.protocol
         return [v for v in net.nodes
@@ -612,7 +682,7 @@ class Simulator:
             if self.invariant is not None and not self.invariant(self.net, self.config):
                 self._invariant_violations += 1
             if self.record_trace:
-                self._snapshot()
+                self.snapshot()
 
     def run_round(self, max_moves: int | None = None) -> bool:
         """Execute one full round.  Returns False if already silent.
@@ -641,12 +711,11 @@ class Simulator:
         # (one write, a handful of neighborhood re-proposals) is applied
         # and re-proposed inline, skipping the _apply_batch/_refresh
         # frames and the dirty-set round trip entirely.  Disabled for
-        # global readers (all-dirty semantics), the name-keyed fallback
-        # path, and mirror-keeping daemons (their notify contract is the
-        # general path's).  State evolution is identical: same writes,
-        # same proposals, same enabled-set contents at every select.
-        fused = (self._slot_rule is not None and not self._global_reads
-                 and self._notify is None)
+        # global readers (all-dirty semantics) and mirror-keeping daemons
+        # (their notify contract is the general path's).  State evolution
+        # is identical: same writes, same proposals, same enabled-set
+        # contents at every select.
+        fused = not self._global_reads and self._notify is None
         pick = None
         if fused:
             net = self.net
@@ -762,7 +831,7 @@ class Simulator:
                     if invariant is not None and not invariant(net, config):
                         self._invariant_violations += 1
                     if record:
-                        self._snapshot()
+                        self.snapshot()
                     budget -= 1
                     if budget <= 0:
                         raise RuntimeError(
@@ -991,7 +1060,13 @@ class Simulator:
     # helpers
     # ------------------------------------------------------------------
 
-    def _snapshot(self) -> None:
+    def snapshot(self) -> None:
+        """Append the current configuration to the recorded trace.
+
+        The engine calls this after every write batch when
+        ``record_trace`` is set; callers that change the configuration
+        outside a daemon step (a topology event) call it themselves.
+        """
         names = self.schema.names
         rows = self._state
         self._trace.append(

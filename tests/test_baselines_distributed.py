@@ -1,6 +1,7 @@
 """Tests for the comparison baselines: the two dimensions the paper
 compares on (register width and silence) must hold by construction."""
 
+import hashlib
 import math
 
 import pytest
@@ -12,6 +13,7 @@ from repro.baselines import (
 )
 from repro.graphs import random_connected_graph, ring
 from repro.runtime import (
+    ALL_SCHEDULER_FACTORIES,
     Simulator,
     SynchronousScheduler,
     max_register_bits,
@@ -94,6 +96,38 @@ class TestBigMemoryMDST:
         sim2 = Simulator(net, base, config=cfg)
         sim2.run(max_rounds=20, stop_when=lambda n, c: base.is_legal(n, c))
         assert base.is_legal(net, sim2.config)
+
+
+# (rounds, moves, sha256[:16] of the canonical final configuration) of
+# bgr-mdst on a weighted n = 10 network from an arbitrary configuration,
+# recorded while the engine still ran ``step`` through its name-keyed
+# plane; the step adapter the engine binds now must reproduce them.
+BGR_MDST_GOLDEN = {
+    "central-max-id": (3, 20, "4e6e6b48fe2f4945"),
+    "central-min-id": (1, 29, "15f5b8219e4c215b"),
+    "central-random": (4, 30, "15f5b8219e4c215b"),
+    "central-round-robin": (5, 30, "15f5b8219e4c215b"),
+    "distributed-random": (4, 22, "4e6e6b48fe2f4945"),
+    "starving": (5, 30, "15f5b8219e4c215b"),
+    "synchronous": (6, 31, "6c42a0bb1f423749"),
+}
+
+
+@pytest.mark.parametrize("sched_name", sorted(BGR_MDST_GOLDEN))
+def test_bgr_mdst_golden_executions(sched_name):
+    assert set(BGR_MDST_GOLDEN) == set(ALL_SCHEDULER_FACTORIES)
+    net = random_connected_graph(10, extra_edges=6, seed=0, weighted=True)
+    base = BigMemoryMDST()
+    cfg = random_configuration(net, base, seed=22)
+    sim = Simulator(net, base, ALL_SCHEDULER_FACTORIES[sched_name](23),
+                    config=cfg)
+    result = sim.run(max_rounds=10_000)
+    assert result.silent
+    canon = repr(tuple(sorted((v, tuple(sorted(s.items())))
+                              for v, s in sim.config.items())))
+    digest = hashlib.sha256(canon.encode()).hexdigest()[:16]
+    assert (result.rounds, result.moves, digest) == \
+        BGR_MDST_GOLDEN[sched_name]
 
 
 class TestAdHocBFS:

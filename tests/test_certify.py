@@ -191,34 +191,31 @@ class TestCertifiedOracle:
 
 
 # ----------------------------------------------------------------------
-# fast paths (adhoc-bfs / malleable-tree)
+# exact deltas (adhoc-bfs / malleable-tree)
 # ----------------------------------------------------------------------
 
 
-class TestEngineFastPaths:
-    def test_fast_step_and_exact_deltas_declared(self):
-        from repro.baselines.dim_bfs import AdHocBFSProtocol
-        from repro.core.swap import MalleableTreeProtocol
-        for proto in (AdHocBFSProtocol(), MalleableTreeProtocol()):
-            assert callable(proto.fast_step)
-            assert proto.exact_deltas is True
-
+class TestExactDeltas:
     @pytest.mark.parametrize("factory", ["adhoc-bfs", "malleable-tree"])
-    def test_fast_step_equals_step(self, factory):
+    def test_step_returns_only_effective_writes(self, factory):
+        """``exact_deltas`` lets the engine skip its no-op filter, so the
+        readable rule must never restate a register's current value."""
         from repro.baselines.dim_bfs import AdHocBFSProtocol
         from repro.core.swap import MalleableTreeProtocol
         from repro.runtime.protocol import NodeView
         proto = (AdHocBFSProtocol() if factory == "adhoc-bfs"
                  else MalleableTreeProtocol())
+        assert proto.exact_deltas is True
         net = random_connected_graph(12, seed=13)
+        writes = 0
         for seed in range(4):
             cfg = random_configuration(net, proto, seed=seed)
-            rows = {v: tuple((u, cfg[u]) for u in net.neighbors(v))
-                    for v in net.nodes}
             for v in net.nodes:
-                view = NodeView(net, v, cfg)
-                assert proto.fast_step(net, cfg, v, rows[v]) == \
-                    proto.step(view)
+                delta = proto.step(NodeView(net, v, cfg))
+                for field, val in (delta or {}).items():
+                    assert cfg[v][field] != val
+                    writes += 1
+        assert writes > 0
 
 
 # ----------------------------------------------------------------------

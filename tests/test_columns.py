@@ -11,13 +11,13 @@ Three pillars, mirroring ``test_state_schema``'s structure one plane up:
 * **Backend equality**: the numpy backend and the stdlib ``array('q')``
   fallback (the ``REPRO_NO_NUMPY`` CI gate) encode identical columns and
   drive bit-identical executions.
-* **Column path ≡ slot path ≡ dict path, golden**: entire executions of
-  every vectorized protocol — ``sst``, its ``adhoc-bfs`` alias, and the
-  ``sst``+``cert-digest`` composition — produce bit-identical
+* **Column path ≡ slot path ≡ adapter path, golden**: entire executions
+  of every vectorized protocol — ``sst``, its ``adhoc-bfs`` alias, and
+  the ``sst``+``cert-digest`` composition — produce bit-identical
   ``(rounds, moves, final configuration)`` across the full daemon grid
-  whether the engine vectorizes all-dirty refreshes
-  (``use_vector_rules=True``), stays on the compiled slot rules, or is
-  forced onto the name-keyed fallback.
+  whether the engine vectorizes all-dirty refreshes, stays on the
+  compiled slot rules (``vector_step`` overridden to decline), or runs
+  the readable ``step`` through ``adapt_step_to_slots``.
 """
 
 import hashlib
@@ -37,6 +37,7 @@ from repro.runtime import (
     random_configuration,
 )
 from repro.runtime.columns import NONE_SENTINEL, ColumnStore, numpy_or_none
+from repro.runtime.protocol import adapt_step_to_slots
 
 #: every protocol family that compiles a vector rule
 VECTOR_PROTOCOLS = {
@@ -54,9 +55,23 @@ def _hash(config) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _sst_sim(n=10, seed=3, cfg_seed=5, **kw) -> Simulator:
+def _scalar(proto):
+    """``proto`` with its columnar plane off (the vector rule declines)."""
+    proto.vector_step = lambda schema, cols: None
+    return proto
+
+
+def _adapter(proto):
+    """``proto`` bound through its readable ``step`` (scalar too)."""
+    proto.fast_step_slots = lambda schema: adapt_step_to_slots(proto, schema)
+    return _scalar(proto)
+
+
+def _sst_sim(n=10, seed=3, cfg_seed=5, plane=None, **kw) -> Simulator:
     net = random_connected_graph(n, seed=seed)
     proto = SpanningTreeProtocol()
+    if plane is not None:
+        proto = plane(proto)
     return Simulator(net, proto,
                      config=random_configuration(net, proto, seed=cfg_seed),
                      **kw)
@@ -66,8 +81,8 @@ class TestColumnStoreContract:
     def test_engine_builds_the_store_only_when_vectorizable(self):
         sim = _sst_sim()
         assert sim._columns is not None and sim._vector_rule is not None
-        # the testing escape hatch forces the scalar paths
-        off = _sst_sim(use_vector_rules=False)
+        # a declining vector_step keeps the binding scalar
+        off = _sst_sim(plane=_scalar)
         assert off._columns is None and off._vector_rule is None
         # no vector_step -> no store at all
         net = random_connected_graph(8, seed=2)
@@ -214,22 +229,23 @@ class TestBackendEquality:
 
 
 class TestColumnPathEqualsScalarPaths:
-    """Golden bit-identity over the protocol × daemon grid, three engines
-    deep: vectorized, slot-scalar, and the name-keyed fallback."""
+    """Golden bit-identity over the protocol × daemon grid, three planes
+    deep: vectorized, compiled slot rule, and the step adapter."""
 
     @pytest.mark.parametrize("sched_name", sorted(ALL_SCHEDULER_FACTORIES))
     @pytest.mark.parametrize("proto_name", sorted(VECTOR_PROTOCOLS))
     def test_full_run_bit_identity(self, proto_name, sched_name):
         net = random_connected_graph(10, seed=29)
         outcomes = []
-        for vector, slots in ((True, True), (False, True), (False, False)):
+        for plane in (None, _scalar, _adapter):
             proto = VECTOR_PROTOCOLS[proto_name]()
+            if plane is not None:
+                proto = plane(proto)
             cfg = random_configuration(net, proto, seed=31)
             sim = Simulator(net, proto,
                             ALL_SCHEDULER_FACTORIES[sched_name](37),
-                            config=cfg, use_slot_rules=slots,
-                            use_vector_rules=vector)
-            assert (sim._vector_rule is not None) == vector
+                            config=cfg)
+            assert sim.engine_plan["vector"] == (plane is None)
             result = sim.run(max_rounds=50_000)
             assert result.silent
             outcomes.append((result.rounds, result.moves, _hash(sim.config)))

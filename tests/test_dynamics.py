@@ -20,7 +20,8 @@ Six pillars:
   PR: after every applied event (``check=True``) and at every subsequent
   scheduler selection, the incrementally maintained enabled set must
   equal a from-scratch rescan — for five protocol families under every
-  daemon, on the dict, slot, and columnar engine paths.
+  daemon, on the adapter, slot, and columnar planes — and a rebound
+  simulator must agree with one freshly constructed on the revision.
 * **Churn phase integration** — ``execute()`` runs the churn phase with
   super-stabilization metrics, traces carry schema-v2 event rows
   byte-identically across repeats, and the fault-injection field
@@ -76,6 +77,7 @@ from repro.runtime.dynamics.schedules import (
     _removable_edges,
 )
 from repro.runtime.faults import corrupt_nodes, inject_faults
+from repro.runtime.protocol import adapt_step_to_slots
 
 # name -> (factory, weighted network needed)
 FAMILIES = {
@@ -85,6 +87,18 @@ FAMILIES = {
     "guided-bfs": (guided_bfs_protocol, False),
     "guided-mst": (guided_mst_protocol, True),
 }
+
+
+def _scalar(proto):
+    """``proto`` with its columnar plane off (the vector rule declines)."""
+    proto.vector_step = lambda schema, cols: None
+    return proto
+
+
+def _adapter(proto):
+    """``proto`` bound through its readable ``step`` (scalar too)."""
+    proto.fast_step_slots = lambda schema: adapt_step_to_slots(proto, schema)
+    return _scalar(proto)
 
 
 def _headroom_net(n=8, seed=21, weighted=False, headroom=3):
@@ -517,13 +531,13 @@ class CrossCheckingScheduler(Scheduler):
         return self.inner.select(enabled)
 
 
-def _churn_grid_run(proto_name, sched_name, kind, **sim_kwargs):
+def _churn_grid_run(proto_name, sched_name, kind, plane=None):
     factory, weighted = FAMILIES[proto_name]
     net = _headroom_net(n=8, seed=21, weighted=weighted, headroom=3)
-    proto = factory()
+    proto = factory() if plane is None else plane(factory())
     cfg = random_configuration(net, proto, seed=22)
     sched = CrossCheckingScheduler(ALL_SCHEDULER_FACTORIES[sched_name](23))
-    sim = Simulator(net, proto, sched, config=cfg, **sim_kwargs)
+    sim = Simulator(net, proto, sched, config=cfg)
     sched.sim = sim
     assert sim.run(max_rounds=50_000).silent
 
@@ -544,25 +558,68 @@ class TestIncrementalAcrossEvents:
         _churn_grid_run(proto_name, sched_name, kind)
 
     @pytest.mark.parametrize("sched_name", sorted(ALL_SCHEDULER_FACTORIES))
-    @pytest.mark.parametrize("paths", [
-        pytest.param(dict(use_slot_rules=False, use_vector_rules=False),
-                     id="dict-path"),
-        pytest.param(dict(use_vector_rules=False), id="slot-path"),
-        pytest.param(dict(), id="columnar-path"),
+    @pytest.mark.parametrize("plane", [
+        pytest.param(_adapter, id="adapter-path"),
+        pytest.param(_scalar, id="slot-path"),
+        pytest.param(None, id="columnar-path"),
     ])
-    def test_engine_paths(self, sched_name, paths):
-        _churn_grid_run("sst", sched_name, "mixed", **paths)
+    def test_engine_paths(self, sched_name, plane):
+        _churn_grid_run("sst", sched_name, "mixed", plane)
 
     def test_engine_paths_agree_on_moves(self):
-        # the three compiled paths must execute the identical churn run
+        # the three planes must execute the identical churn run
         outcomes = set()
-        for paths in (dict(use_slot_rules=False, use_vector_rules=False),
-                      dict(use_vector_rules=False), dict()):
-            m = _churn_grid_run("sst", "central-random", "mixed", **paths)
+        for plane in (_adapter, _scalar, None):
+            m = _churn_grid_run("sst", "central-random", "mixed", plane)
             outcomes.add((m["resilience_rounds_total"],
                           m["resilience_moves_total"],
                           json.dumps(m["event_kinds"], sort_keys=True)))
         assert len(outcomes) == 1, outcomes
+
+    @pytest.mark.parametrize("plane", [
+        pytest.param(None, id="vector"),
+        pytest.param(_scalar, id="scalar"),
+    ])
+    @pytest.mark.parametrize("proto_name", ["sst", "adhoc-bfs"])
+    def test_rebind_equals_construct(self, proto_name, plane):
+        """After every event, the rebound simulator is indistinguishable
+        from one constructed on the revision with the same registers:
+        same enabled list, same engine plan."""
+        factory, weighted = FAMILIES[proto_name]
+
+        def make():
+            return factory() if plane is None else plane(factory())
+
+        def assert_as_constructed(when):
+            fresh = Simulator(
+                sim.net, make(), ALL_SCHEDULER_FACTORIES["central-random"](5),
+                config={v: dict(st) for v, st in sim.config.items()})
+            assert fresh.enabled_nodes() == sim.enabled_nodes(), when
+            assert fresh.engine_plan == sim.engine_plan, when
+
+        net = _headroom_net(n=10, seed=31, weighted=weighted, headroom=4)
+        proto = make()
+        sim = Simulator(net, proto,
+                        ALL_SCHEDULER_FACTORIES["central-random"](5),
+                        config=random_configuration(net, proto, seed=6))
+        assert sim.engine_plan["vector"] == (plane is None)
+        schedule = ChurnSchedule("mixed", 7)
+        joiner_rng = random.Random(8)
+        events = 0
+        for _ in range(12):
+            event = schedule.next_event(sim.net)
+            if event is None:
+                break
+            apply_event(sim, event, rng=joiner_rng)
+            events += 1
+            assert_as_constructed(f"after {event}")
+            # one round, not re-silence: events landing on a busy
+            # configuration expose stale proposals a silent one hides
+            sim.run_round()
+            assert_as_constructed(f"a round after {event}")
+        assert events >= 6
+        sim.run(max_rounds=10_000)
+        assert_as_constructed("re-silenced")
 
     def test_interrupt_step_fires_on_parent_loss(self):
         # crash a silent SST tree's internal node: every orphan's

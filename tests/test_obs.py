@@ -56,10 +56,13 @@ def _env():
     return env
 
 
-def _acceptance_sim(n=48, recorder=None, **kwargs):
-    """The acceptance workload's shape at any n (see perf.workloads)."""
+def _acceptance_sim(n=48, recorder=None, scalar=False, **kwargs):
+    """The acceptance workload's shape at any n (see perf.workloads);
+    ``scalar`` keeps it off the columnar plane."""
     net = build_network("random", {"n": n, "seed": 42}, random.Random(0))
     proto, _ = build_protocol("sst")
+    if scalar:
+        proto.vector_step = lambda schema, cols: None
     config, _ = build_config("arbitrary", net, proto, random.Random(1),
                              {"seed": 7})
     scheduler = SCHEDULERS["central-random"](3)
@@ -98,10 +101,11 @@ def test_slot_and_column_paths_emit_identical_rows(tmp_path):
     the header's self-describing ``engine`` field may differ."""
     a, b = tmp_path / "vector.jsonl", tmp_path / "scalar.jsonl"
     _record(a)
-    _record(b, use_vector_rules=False)
+    _record(b, scalar=True)
     lines_a, lines_b = a.read_bytes().splitlines(), b.read_bytes().splitlines()
     assert lines_a[1:] == lines_b[1:]  # every row + the end record
     header_a, header_b = json.loads(lines_a[0]), json.loads(lines_b[0])
+    assert header_a["engine"]["vector"] is True
     assert header_b["engine"]["vector"] is False
     header_a.pop("engine"), header_b.pop("engine")
     assert header_a == header_b

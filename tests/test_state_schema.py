@@ -11,11 +11,12 @@ Three pillars:
   configurations, encoding through the schema and reading back through
   the Mapping views reproduces the boundary dicts exactly — before,
   during, and after execution.
-* **Dict-path ≡ slot-path, golden**: entire executions — every protocol
-  family of the tier-1 suite under every daemon — produce bit-identical
-  ``(rounds, moves, final configuration)`` whether the engine runs the
-  compiled ``fast_step_slots`` rules or is forced onto the name-keyed
-  ``fast_step``/``step`` fallback (``use_slot_rules=False``).
+* **Compiled ≡ adapter-over-step, golden**: entire executions — every
+  protocol family of the tier-1 suite under every daemon — produce
+  bit-identical ``(rounds, moves, final configuration)`` whether the
+  engine runs the compiled ``fast_step_slots`` rules or the readable
+  ``step`` bridged by ``adapt_step_to_slots`` (forced by overriding the
+  compile method on the protocol instance).
 """
 
 import hashlib
@@ -41,6 +42,7 @@ from repro.runtime import (
     counter_field,
     random_configuration,
 )
+from repro.runtime.protocol import adapt_step_to_slots
 
 PROTOCOLS = {
     "sst": (SpanningTreeProtocol, False),
@@ -55,6 +57,17 @@ def _hash(config) -> str:
     canon = repr(tuple(sorted((v, tuple(sorted(s.items())))
                               for v, s in config.items())))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def _plane(proto, compiled: bool):
+    """``proto`` bound through its compiled slot rule, or — when not
+    ``compiled`` — through its readable ``step`` via the adapter, with
+    the columnar plane off so every evaluation really runs ``step``."""
+    if not compiled:
+        proto.fast_step_slots = (
+            lambda schema: adapt_step_to_slots(proto, schema))
+        proto.vector_step = lambda schema, cols: None
+    return proto
 
 
 class TestStateSchema:
@@ -193,10 +206,10 @@ class TestSlotViewEqualsDictView:
         assert sim.enabled_nodes() == sim.rescan_enabled()
 
 
-class TestDictPathEqualsSlotPath:
+class TestCompiledEqualsAdapter:
     """Golden bit-identity: full executions on the compiled slot rules
-    reproduce the name-keyed fallback engine, over the whole
-    protocol × daemon grid."""
+    reproduce the readable ``step`` run through the adapter, over the
+    whole protocol × daemon grid."""
 
     @pytest.mark.parametrize("sched_name", sorted(ALL_SCHEDULER_FACTORIES))
     @pytest.mark.parametrize("proto_name", sorted(PROTOCOLS))
@@ -204,19 +217,19 @@ class TestDictPathEqualsSlotPath:
         factory, weighted = PROTOCOLS[proto_name]
         net = random_connected_graph(8, seed=21, weighted=weighted)
         outcomes = []
-        for use_slots in (True, False):
-            proto = factory()  # fresh instance: oracle memos are per-run
+        for compiled in (True, False):
+            # fresh instance: oracle memos are per-run
+            proto = _plane(factory(), compiled)
             cfg = random_configuration(net, proto, seed=22)
             sim = Simulator(net, proto,
                             ALL_SCHEDULER_FACTORIES[sched_name](23),
-                            config=cfg, use_slot_rules=use_slots)
-            assert (sim._slot_rule is not None) == use_slots
+                            config=cfg)
             result = sim.run(max_rounds=50_000)
             assert result.silent
             outcomes.append((result.rounds, result.moves, _hash(sim.config)))
         assert outcomes[0] == outcomes[1], (
-            f"{proto_name} under {sched_name}: slot path diverged from "
-            f"the dict path")
+            f"{proto_name} under {sched_name}: compiled slot rule diverged "
+            f"from the step adapter")
 
     @pytest.mark.parametrize("sched_name", sorted(ALL_SCHEDULER_FACTORIES))
     def test_compact_mst_slot_rule_bit_identity(self, sched_name):
@@ -225,23 +238,22 @@ class TestDictPathEqualsSlotPath:
         comparison pins a fixed *move*-budget prefix of the execution."""
         net = random_connected_graph(8, seed=21, weighted=True)
         outcomes = []
-        for use_slots in (True, False):
-            proto = CompactNonSilentMST()
+        for compiled in (True, False):
+            proto = _plane(CompactNonSilentMST(), compiled)
             cfg = random_configuration(net, proto, seed=22)
             sim = Simulator(net, proto,
                             ALL_SCHEDULER_FACTORIES[sched_name](23),
-                            config=cfg, use_slot_rules=use_slots)
-            assert (sim._slot_rule is not None) == use_slots
+                            config=cfg)
             moved = sim.run_steps(max_moves=256)
             assert moved >= 256  # perpetual motion, by design
             outcomes.append((sim.moves, _hash(sim.config)))
         assert outcomes[0] == outcomes[1], (
-            f"compact-mst under {sched_name}: slot path diverged from "
-            f"the dict path")
+            f"compact-mst under {sched_name}: compiled slot rule diverged "
+            f"from the step adapter")
 
-    def test_protocols_without_slot_rules_fall_back(self):
+    def test_protocols_without_slot_rules_ride_the_adapter(self):
         class DictOnlyUnison(Protocol):
-            """Implements only ``step`` — exercises the fallback plane."""
+            """Implements only ``step`` — bound through the adapter."""
 
             name = "dict-only-unison"
 
@@ -256,7 +268,8 @@ class TestDictPathEqualsSlotPath:
 
         net = random_connected_graph(8, seed=21, weighted=True)
         sim = Simulator(net, DictOnlyUnison())
-        assert sim._slot_rule is None  # default fast_step_slots → None
+        assert sim.engine_plan == {"slot": True, "vector": False,
+                                   "fused_capable": True}
         sim.run_round()
         assert sim.enabled_nodes() == sim.rescan_enabled()
 
