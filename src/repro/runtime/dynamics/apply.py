@@ -161,16 +161,6 @@ def revise(net: Network, event: TopologyEvent) -> Network:
         raise EventError(disconnected) from None
 
 
-def _touched(event: TopologyEvent, old_net: Network) -> tuple[int, ...]:
-    """Surviving nodes whose neighborhood the event changed."""
-    if isinstance(event, (EdgeAdd, EdgeRemove)):
-        return tuple(sorted((event.u, event.v)))
-    if isinstance(event, NodeCrash):
-        return tuple(sorted(old_net.neighbors(event.node)))
-    # join/recover: the joiner and its attachment points
-    return tuple(sorted((event.node, *event.edges)))
-
-
 def _refuse_non_simulator(sim: object) -> None:
     cls = type(sim).__name__
     if cls == "ShardedSimulator" or "sharding" in type(sim).__module__:
@@ -201,11 +191,16 @@ def apply_event(sim: Simulator, event: TopologyEvent, *,
     """
     if not isinstance(sim, Simulator):
         _refuse_non_simulator(sim)
+    # refused before any work, so a refused call draws no entropy
+    if sim.in_round:
+        raise RuntimeError(
+            "cannot apply a topology event mid-round: the active round's "
+            "pending set was computed against the old topology.  Apply "
+            "events between run_round() calls.")
 
     old_net = sim.net
     protocol = sim.protocol
     new_net = revise(old_net, event)
-    touched = _touched(event, old_net)
 
     joiners = {}
     if isinstance(event, (NodeJoin, NodeRecover)):
@@ -216,9 +211,11 @@ def apply_event(sim: Simulator, event: TopologyEvent, *,
         else:
             state = spec.default_state(new_net, event.node)
         joiners[event.node] = state
-    # survivors keep their rows by identity; the rebind dirties exactly
-    # the nodes whose neighborhood changed (the event's touched set)
-    sim.rebind(new_net, joiners)
+    # survivors keep their rows by identity; the rebind dirties and
+    # returns exactly the nodes whose neighborhood changed (the event's
+    # touched set: both endpoints of an edge event, a crashed node's
+    # neighbors, a joiner and its attachment points)
+    touched = sim.rebind(new_net, joiners)
 
     # ---- protocol lifecycle hook -------------------------------------
     if protocol.on_topology_event(old_net, new_net, event):

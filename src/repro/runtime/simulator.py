@@ -310,9 +310,16 @@ class Simulator:
                 self._columns = store
                 self._vector_rule = vrule
 
+    @property
+    def in_round(self) -> bool:
+        """Whether a round is active: its pending set was computed
+        against the current topology, so no rebind may land until the
+        round ends."""
+        return self._pending is not None
+
     def rebind(self, net: Network,
                joiners: Mapping[int, Mapping[str, object]] | None = None,
-               ) -> None:
+               ) -> tuple[int, ...]:
         """Move this simulator onto a revised network, between rounds.
 
         Surviving nodes keep their register rows by identity; nodes of
@@ -325,15 +332,19 @@ class Simulator:
         (register writes, oracle flushes) goes through :meth:`overwrite`
         and :meth:`invalidate`.
 
-        Raises RuntimeError mid-round: the active round's pending set
-        was computed against the old topology.
+        Returns the nodes of ``net`` whose neighborhood changed
+        (ascending): the survivors adjacent to the change and the
+        joiners.
+
+        Raises RuntimeError mid-round (see :attr:`in_round`): the active
+        round's pending set was computed against the old topology.
         """
-        if self._pending is not None:
+        if self.in_round:
             raise RuntimeError(
-                "cannot apply a topology event mid-round: the active "
-                "round's pending set was computed against the old "
-                "topology.  Apply events between run_round() calls.")
-        old = self.net
+                "cannot rebind mid-round: the active round's pending set "
+                "was computed against the old topology.  Rebind between "
+                "run_round() calls.")
+        old_adjacency = self.net.adjacency
         backend = self._columns.backend if self._columns is not None else None
         self._bind(net, joiners or {}, backend)
         rows, dirty = self._state, self._dirty
@@ -344,13 +355,14 @@ class Simulator:
             self._proposal.pop(v, None)
             dirty.discard(v)
             self._enabled.discard(v)
+        changed = tuple(sorted(v for v, nbrs in adjacency.items()
+                               if old_adjacency.get(v) != nbrs))
         if self._global_reads:
             self._dirty_all = True
         else:
-            old_adjacency = old.adjacency
-            dirty.update(v for v, nbrs in adjacency.items()
-                         if old_adjacency.get(v) != nbrs)
+            dirty.update(changed)
         self._sched_synced = False  # the daemon re-reads the enabled set
+        return changed
 
     def invalidate(self) -> None:
         """Drop every cached proposal: the next settle re-proposes all

@@ -37,7 +37,8 @@ from repro.runtime import (
     random_configuration,
 )
 from repro.runtime.columns import NONE_SENTINEL, ColumnStore, numpy_or_none
-from repro.runtime.protocol import adapt_step_to_slots
+
+from planes import adapter_plane, scalar_plane
 
 #: every protocol family that compiles a vector rule
 VECTOR_PROTOCOLS = {
@@ -55,18 +56,6 @@ def _hash(config) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _scalar(proto):
-    """``proto`` with its columnar plane off (the vector rule declines)."""
-    proto.vector_step = lambda schema, cols: None
-    return proto
-
-
-def _adapter(proto):
-    """``proto`` bound through its readable ``step`` (scalar too)."""
-    proto.fast_step_slots = lambda schema: adapt_step_to_slots(proto, schema)
-    return _scalar(proto)
-
-
 def _sst_sim(n=10, seed=3, cfg_seed=5, plane=None, **kw) -> Simulator:
     net = random_connected_graph(n, seed=seed)
     proto = SpanningTreeProtocol()
@@ -82,7 +71,7 @@ class TestColumnStoreContract:
         sim = _sst_sim()
         assert sim._columns is not None and sim._vector_rule is not None
         # a declining vector_step keeps the binding scalar
-        off = _sst_sim(plane=_scalar)
+        off = _sst_sim(plane=scalar_plane)
         assert off._columns is None and off._vector_rule is None
         # no vector_step -> no store at all
         net = random_connected_graph(8, seed=2)
@@ -237,7 +226,7 @@ class TestColumnPathEqualsScalarPaths:
     def test_full_run_bit_identity(self, proto_name, sched_name):
         net = random_connected_graph(10, seed=29)
         outcomes = []
-        for plane in (None, _scalar, _adapter):
+        for plane in (None, scalar_plane, adapter_plane):
             proto = VECTOR_PROTOCOLS[proto_name]()
             if plane is not None:
                 proto = plane(proto)

@@ -77,7 +77,8 @@ from repro.runtime.dynamics.schedules import (
     _removable_edges,
 )
 from repro.runtime.faults import corrupt_nodes, inject_faults
-from repro.runtime.protocol import adapt_step_to_slots
+
+from planes import adapter_plane, scalar_plane
 
 # name -> (factory, weighted network needed)
 FAMILIES = {
@@ -87,18 +88,6 @@ FAMILIES = {
     "guided-bfs": (guided_bfs_protocol, False),
     "guided-mst": (guided_mst_protocol, True),
 }
-
-
-def _scalar(proto):
-    """``proto`` with its columnar plane off (the vector rule declines)."""
-    proto.vector_step = lambda schema, cols: None
-    return proto
-
-
-def _adapter(proto):
-    """``proto`` bound through its readable ``step`` (scalar too)."""
-    proto.fast_step_slots = lambda schema: adapt_step_to_slots(proto, schema)
-    return _scalar(proto)
 
 
 def _headroom_net(n=8, seed=21, weighted=False, headroom=3):
@@ -493,6 +482,27 @@ class TestApplyGuards:
         finally:
             sim._pending = None
 
+    def test_mid_round_refusal_comes_first(self):
+        # refused before revise and joiner sampling: a refused call draws
+        # nothing from the simulator's stream, and an invalid event gets
+        # the mid-round refusal rather than an EventError
+        sim = _sst_sim()
+        net = sim.net
+        free = min(set(range(1, net.id_space + 1)) - set(net.nodes))
+        entropy = sim.rng.getstate()
+        sim._pending = set()
+        try:
+            for event in (NodeJoin(free, (min(net.nodes),), init="sampled"),
+                          NodeCrash(net.id_space + 1)):
+                with pytest.raises(RuntimeError, match="mid-round"):
+                    apply_event(sim, event)
+            with pytest.raises(RuntimeError, match="mid-round"):
+                sim.rebind(net)
+        finally:
+            sim._pending = None
+        assert sim.rng.getstate() == entropy
+        assert sim.net is net
+
     def test_invalid_event_leaves_simulator_untouched(self):
         sim = _sst_sim()
         before = sim.net
@@ -559,8 +569,8 @@ class TestIncrementalAcrossEvents:
 
     @pytest.mark.parametrize("sched_name", sorted(ALL_SCHEDULER_FACTORIES))
     @pytest.mark.parametrize("plane", [
-        pytest.param(_adapter, id="adapter-path"),
-        pytest.param(_scalar, id="slot-path"),
+        pytest.param(adapter_plane, id="adapter-path"),
+        pytest.param(scalar_plane, id="slot-path"),
         pytest.param(None, id="columnar-path"),
     ])
     def test_engine_paths(self, sched_name, plane):
@@ -569,7 +579,7 @@ class TestIncrementalAcrossEvents:
     def test_engine_paths_agree_on_moves(self):
         # the three planes must execute the identical churn run
         outcomes = set()
-        for plane in (_adapter, _scalar, None):
+        for plane in (adapter_plane, scalar_plane, None):
             m = _churn_grid_run("sst", "central-random", "mixed", plane)
             outcomes.add((m["resilience_rounds_total"],
                           m["resilience_moves_total"],
@@ -578,7 +588,7 @@ class TestIncrementalAcrossEvents:
 
     @pytest.mark.parametrize("plane", [
         pytest.param(None, id="vector"),
-        pytest.param(_scalar, id="scalar"),
+        pytest.param(scalar_plane, id="scalar"),
     ])
     @pytest.mark.parametrize("proto_name", ["sst", "adhoc-bfs"])
     def test_rebind_equals_construct(self, proto_name, plane):

@@ -47,6 +47,8 @@ from repro.obs.trace import TRACE_SCHEMA_VERSION, read_trace, validate_trace
 from repro.runtime.sharding import ShardedSimulator
 from repro.runtime.simulator import Simulator
 
+from planes import scalar_plane
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -62,7 +64,7 @@ def _acceptance_sim(n=48, recorder=None, scalar=False, **kwargs):
     net = build_network("random", {"n": n, "seed": 42}, random.Random(0))
     proto, _ = build_protocol("sst")
     if scalar:
-        proto.vector_step = lambda schema, cols: None
+        proto = scalar_plane(proto)
     config, _ = build_config("arbitrary", net, proto, random.Random(1),
                              {"seed": 7})
     scheduler = SCHEDULERS["central-random"](3)

@@ -42,7 +42,8 @@ from repro.runtime import (
     counter_field,
     random_configuration,
 )
-from repro.runtime.protocol import adapt_step_to_slots
+
+from planes import adapter_plane
 
 PROTOCOLS = {
     "sst": (SpanningTreeProtocol, False),
@@ -61,13 +62,14 @@ def _hash(config) -> str:
 
 def _plane(proto, compiled: bool):
     """``proto`` bound through its compiled slot rule, or — when not
-    ``compiled`` — through its readable ``step`` via the adapter, with
-    the columnar plane off so every evaluation really runs ``step``."""
-    if not compiled:
-        proto.fast_step_slots = (
-            lambda schema: adapt_step_to_slots(proto, schema))
-        proto.vector_step = lambda schema, cols: None
-    return proto
+    ``compiled`` — through its readable ``step`` via the adapter."""
+    return proto if compiled else adapter_plane(proto)
+
+
+def _compiles_slot_rule(proto, schema) -> bool:
+    """Whether the engine bound ``proto``'s own compiled slot rule (not
+    the adapter it falls back to when ``fast_step_slots`` returns None)."""
+    return type(proto).fast_step_slots(proto, schema) is not None
 
 
 class TestStateSchema:
@@ -224,6 +226,9 @@ class TestCompiledEqualsAdapter:
             sim = Simulator(net, proto,
                             ALL_SCHEDULER_FACTORIES[sched_name](23),
                             config=cfg)
+            # the class compiles its own slot rule, so the compiled side
+            # really runs it and the two sides run different planes
+            assert _compiles_slot_rule(proto, sim.schema)
             result = sim.run(max_rounds=50_000)
             assert result.silent
             outcomes.append((result.rounds, result.moves, _hash(sim.config)))
@@ -244,6 +249,7 @@ class TestCompiledEqualsAdapter:
             sim = Simulator(net, proto,
                             ALL_SCHEDULER_FACTORIES[sched_name](23),
                             config=cfg)
+            assert _compiles_slot_rule(proto, sim.schema)
             moved = sim.run_steps(max_moves=256)
             assert moved >= 256  # perpetual motion, by design
             outcomes.append((sim.moves, _hash(sim.config)))
